@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race race-experiment race-live race-shard race-hybrid race-routing race-deploy chaos deploy-smoke vet vuln fmtcheck fuzz bench benchcmp benchfull experiments examples clean
+.PHONY: all check build test cores race race-experiment race-live race-shard race-hybrid race-routing race-deploy chaos deploy-smoke vet vuln fmtcheck fuzz bench benchcmp benchfull experiments examples clean
 
 all: build vet fmtcheck test
 
@@ -12,8 +12,9 @@ all: build vet fmtcheck test
 # baseline, the chaos suite (fault injection + recovery), the hybrid and
 # routing concurrency suites under the race detector, a best-effort
 # vulnerability scan, and the multi-process deployment smoke (real OS
-# processes over loopback TCP, torn down with an orphan check).
-check: all benchcmp chaos race-hybrid race-routing vuln deploy-smoke
+# processes over loopback TCP, torn down with an orphan check), and the
+# core-count sweep.
+check: all benchcmp cores chaos race-hybrid race-routing vuln deploy-smoke
 
 build:
 	$(GO) build ./...
@@ -42,6 +43,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Run the tests whose outcome depends on the core count at GOMAXPROCS 1, 2
+# and 4: the sharded engine's alloc guard and barrier drain, and Figure 4's
+# concurrent registrations. A 1-CPU host alone hides faults in both.
+cores:
+	$(GO) test -count=1 -cpu 1,2,4 -run 'TestShardedSteadyStateZeroAlloc|TestF4Shapes|Sharded' ./internal/sim ./internal/netsim ./internal/experiment
 
 # Race-check the concurrent machinery specifically: RunMany drives many
 # independent simulations on worker goroutines, and the sweep runner +

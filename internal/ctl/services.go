@@ -4,6 +4,7 @@ import (
 	"crypto/ed25519"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"dtc/internal/auth"
 	"dtc/internal/nms"
@@ -57,8 +58,14 @@ type ReportParams struct {
 	Snapshots [][]byte `json:"snapshots"`
 }
 
-// TCSPHandler exposes a TCSP over the wire protocol.
+// TCSPHandler exposes a TCSP over the wire protocol. A Server runs each
+// connection on its own goroutine and the TCSP core is not
+// concurrency-safe, so the returned handler serializes its calls into t
+// with one mutex of its own. Payloads are decoded (and report snapshots
+// validated) before the lock is taken. Callers that touch t outside the
+// handler must still serialize those accesses themselves.
 func TCSPHandler(t *tcsp.TCSP) Handler {
+	var mu sync.Mutex
 	return func(method string, payload json.RawMessage) (any, error) {
 		switch method {
 		case "ping":
@@ -68,6 +75,8 @@ func TCSPHandler(t *tcsp.TCSP) Handler {
 			if err := json.Unmarshal(payload, &p); err != nil {
 				return nil, fmt.Errorf("register: %w", err)
 			}
+			mu.Lock()
+			defer mu.Unlock()
 			return t.Register(p.User, ed25519.PublicKey(p.PublicKey), p.Prefixes, p.Signature)
 		case "deploy":
 			var p DeployParams
@@ -77,6 +86,8 @@ func TCSPHandler(t *tcsp.TCSP) Handler {
 			if p.Signed == nil {
 				return nil, fmt.Errorf("deploy: missing signed request")
 			}
+			mu.Lock()
+			defer mu.Unlock()
 			return t.Deploy(p.Signed, p.ISPs)
 		case "control":
 			var p ControlParams
@@ -86,6 +97,8 @@ func TCSPHandler(t *tcsp.TCSP) Handler {
 			if p.Signed == nil {
 				return nil, fmt.Errorf("control: missing signed request")
 			}
+			mu.Lock()
+			defer mu.Unlock()
 			return t.Control(p.Signed, p.ISPs)
 		case "report":
 			var p ReportParams
@@ -100,6 +113,8 @@ func TCSPHandler(t *tcsp.TCSP) Handler {
 				}
 				snaps = append(snaps, &s)
 			}
+			mu.Lock()
+			defer mu.Unlock()
 			if err := t.Report(p.ISP, snaps); err != nil {
 				return nil, err
 			}
@@ -111,8 +126,13 @@ func TCSPHandler(t *tcsp.TCSP) Handler {
 }
 
 // NMSHandler exposes an NMS over the wire protocol — the paper's direct
-// user-to-ISP path for when the TCSP is unreachable.
+// user-to-ISP path for when the TCSP is unreachable. Like TCSPHandler, the
+// returned handler serializes its calls into m with one mutex of its own,
+// taken after the payload is decoded. A relayed deploy also reaches m's
+// in-process peers, which this lock does not cover: callers that serve
+// peered NMSes concurrently must share one lock across them.
 func NMSHandler(m *nms.NMS) Handler {
+	var mu sync.Mutex
 	return func(method string, payload json.RawMessage) (any, error) {
 		var p NMSParams
 		if err := json.Unmarshal(payload, &p); err != nil {
@@ -123,6 +143,8 @@ func NMSHandler(m *nms.NMS) Handler {
 		}
 		switch method {
 		case "deploy":
+			mu.Lock()
+			defer mu.Unlock()
 			if p.Relay {
 				results, errs := m.DeployWithRelay(p.Cert, p.Signed)
 				rr := &RelayResult{Results: results}
@@ -133,6 +155,8 @@ func NMSHandler(m *nms.NMS) Handler {
 			}
 			return m.Deploy(p.Cert, p.Signed)
 		case "control":
+			mu.Lock()
+			defer mu.Unlock()
 			return m.Control(p.Cert, p.Signed)
 		default:
 			return nil, fmt.Errorf("nms: unknown method %q", method)

@@ -222,8 +222,10 @@ func runTCSP() error {
 	}
 	tc := tcsp.New(caID, authority, wallClock)
 
-	// The TCSP core is not concurrency-safe; the pipelined server is. One
-	// mutex serializes core access, exactly as internal/live does.
+	// The TCSP core is not concurrency-safe; the pipelined server is.
+	// ctl.TCSPHandler serializes its own calls, but the ingest applier
+	// and addisp reach the core outside it, so one mutex serializes every
+	// core access, exactly as internal/live does.
 	var mu sync.Mutex
 	var registers, deploys, controls, reports, watches metrics.AtomicCounter
 

@@ -280,8 +280,9 @@ func (w *World) netOf(node int) *netsim.Network {
 
 func (w *World) nodeOfAddr(a packet.Addr) (int, bool) { return w.owners.Lookup(a) }
 
-// SetWorkers bounds the goroutines driving a sharded world's rounds
-// (results are identical at any count); a plain world ignores it.
+// SetWorkers bounds the goroutines driving a sharded world's rounds and
+// barrier drains (results are identical at any count); a plain world
+// ignores it.
 func (w *World) SetWorkers(n int) {
 	if w.snet != nil {
 		w.snet.Engine.Workers = n

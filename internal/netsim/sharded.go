@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"dtc/internal/ownership"
@@ -119,7 +118,8 @@ func (n *Network) newCrossArrival(from, to int32, pkt *packet.Packet) *crossArri
 }
 
 // parallelDrainMin is the per-barrier message count above which outbox
-// delivery fans out across destination shards (given more than one CPU).
+// delivery fans out across destination shards (given an engine width
+// above one).
 // Below it the goroutine handoff costs more than the heap pushes it
 // parallelizes.
 const parallelDrainMin = 256
@@ -137,11 +137,14 @@ type ShardedNetwork struct {
 	routes     routing.Source
 	ownsRoutes bool // routes built here, not borrowed: topology may mutate
 
-	// Parallel-drain machinery, built once: per-destination closures and a
-	// reusable WaitGroup, so barriers spawn goroutines without fresh
-	// allocations.
-	drainFns []func()
-	drainWG  sync.WaitGroup
+	// Parallel-drain machinery, built once: one closure per drain goroutine
+	// and a reusable WaitGroup. Closure k delivers destinations k,
+	// k+drainWidth, ... in ascending order. Spawning still costs the
+	// runtime occasional goroutine and sudog bookkeeping allocations, so
+	// only the one-worker (serial) drain is allocation-free.
+	drainFns   []func()
+	drainWG    sync.WaitGroup
+	drainWidth int
 }
 
 // NewSharded partitions g per assign across eng's shards. routes must be
@@ -186,9 +189,14 @@ func NewSharded(eng *sim.Sharded, g *topology.Graph, cfg LinkConfig, routes rout
 		sn.nets[s] = n
 	}
 	sn.drainFns = make([]func(), shards)
-	for d := 0; d < shards; d++ {
-		d := d
-		sn.drainFns[d] = func() { sn.drainTo(d); sn.drainWG.Done() }
+	for k := 0; k < shards; k++ {
+		k := k
+		sn.drainFns[k] = func() {
+			for d := k; d < len(sn.nets); d += sn.drainWidth {
+				sn.drainTo(d)
+			}
+			sn.drainWG.Done()
+		}
 	}
 	sn.recomputeLookahead()
 	eng.OnBarrier(sn.drain)
@@ -221,9 +229,11 @@ func (sn *ShardedNetwork) Lookahead() sim.Time { return sn.lookahead }
 // into its destination shard's event heap. Delivery order is fixed —
 // destinations ascending, sources ascending within a destination, FIFO
 // within a source — so runs are reproducible regardless of goroutine
-// scheduling. Large barriers fan out by destination: each destination's
-// heap is touched by exactly one goroutine, and the sources' outbox slots
-// for that destination are read by that goroutine alone.
+// scheduling. Large barriers fan out by destination across the engine's
+// Width goroutines (a one-worker engine drains serially): each goroutine
+// owns a fixed set of destinations, so each destination's heap is touched
+// by exactly one goroutine, and the sources' outbox slots for that
+// destination are read by that goroutine alone.
 func (sn *ShardedNetwork) drain() {
 	total := 0
 	for _, n := range sn.nets {
@@ -234,9 +244,10 @@ func (sn *ShardedNetwork) drain() {
 	if total == 0 {
 		return
 	}
-	if len(sn.nets) > 1 && total >= parallelDrainMin && runtime.GOMAXPROCS(0) > 1 {
-		sn.drainWG.Add(len(sn.drainFns))
-		for _, fn := range sn.drainFns {
+	if w := sn.Engine.Width(); w > 1 && total >= parallelDrainMin {
+		sn.drainWidth = w
+		sn.drainWG.Add(w)
+		for _, fn := range sn.drainFns[:w] {
 			go fn()
 		}
 		sn.drainWG.Wait()
@@ -247,8 +258,9 @@ func (sn *ShardedNetwork) drain() {
 	}
 	// Recycle drained block chains onto their source network's free list.
 	// Single-threaded on the coordinator goroutine: the parallel phase
-	// above only reads outbox[*][d] from destination-goroutine d, so block
-	// ownership returns to the source without any cross-goroutine pool.
+	// above reads outbox[*][d] only from the goroutine owning destination
+	// d, so block ownership returns to the source without any
+	// cross-goroutine pool.
 	for _, n := range sn.nets {
 		for d := range n.outbox {
 			box := &n.outbox[d]

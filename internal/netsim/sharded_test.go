@@ -259,3 +259,87 @@ func TestPacketPoolRoundTrip(t *testing.T) {
 		t.Fatalf("recycled packet not zeroed: %+v", q)
 	}
 }
+
+// TestShardedDrainWidthInvariance runs a relay ring whose barriers carry
+// enough cross-shard arrivals to fan the drain out, at engine widths that
+// divide the shard count and widths that do not. Each drain goroutine
+// owns a fixed set of destinations, so every width must reproduce the
+// serial (one-worker) run exactly.
+func TestShardedDrainWidthInvariance(t *testing.T) {
+	const shards = 8
+	type result struct {
+		stats     Stats
+		fired     uint64
+		delivered uint64
+	}
+	run := func(workers int) result {
+		g, err := topology.BarabasiAlbert(300, 2, sim.NewRNG(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := sim.NewSharded(11, shards)
+		eng.Workers = workers
+		assign, err := topology.PartitionGreedy(g, shards, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Registered before the network's own drain hook, so it sees each
+		// barrier's outboxes before they are delivered.
+		var sn *ShardedNetwork
+		peak := 0
+		eng.OnBarrier(func() {
+			total := 0
+			for _, n := range sn.nets {
+				for d := range n.outbox {
+					total += n.outbox[d].count
+				}
+			}
+			if total > peak {
+				peak = total
+			}
+		})
+		cfg := LinkConfig{Bandwidth: 1e10, Delay: sim.Millisecond, QueueCap: 1 << 16}
+		if sn, err = NewSharded(eng, g, cfg, nil, nil, assign); err != nil {
+			t.Fatal(err)
+		}
+		hubs := g.NodesByDegree()[:24]
+		hosts := make([]*Host, len(hubs))
+		for i, node := range hubs {
+			if hosts[i], err = sn.AttachHost(node); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Per-host counts: each host's Recv runs on its own shard.
+		recv := make([]uint64, len(hosts))
+		for i, h := range hosts {
+			i, h, next := i, h, hosts[(i+1)%len(hosts)].Addr
+			h.Recv = func(now sim.Time, pkt *packet.Packet) {
+				recv[i]++
+				pkt.Src, pkt.Dst, pkt.TTL = h.Addr, next, 64
+				h.Send(now, pkt)
+			}
+			for k := 0; k < 64; k++ {
+				h.Send(sim.Time(k)*sim.Microsecond, &packet.Packet{
+					Src: h.Addr, Dst: next, Kind: packet.KindLegit, Size: 400,
+				})
+			}
+		}
+		if _, err := sn.Run(50 * sim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if peak < parallelDrainMin {
+			t.Fatalf("workers=%d: peak barrier volume %d never reaches the fan-out threshold %d", workers, peak, parallelDrainMin)
+		}
+		res := result{stats: *sn.MergedStats(), fired: sn.Fired()}
+		for _, n := range recv {
+			res.delivered += n
+		}
+		return res
+	}
+	serial := run(1)
+	for _, workers := range []int{2, 3, 8} {
+		if got := run(workers); got != serial {
+			t.Errorf("workers=%d diverged from the serial run:\n%+v\n%+v", workers, got, serial)
+		}
+	}
+}

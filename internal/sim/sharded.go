@@ -38,8 +38,10 @@ type Sharded struct {
 	// caught at delivery time (scheduling into a shard's past panics).
 	Lookahead Time
 
-	// Workers bounds the goroutines executing shards within one round;
-	// <= 0 means GOMAXPROCS. Results are identical at any worker count.
+	// Workers bounds the goroutines executing shards within one round and
+	// the goroutines a model's barrier hook may fan out to (Width gives
+	// the effective value); <= 0 means GOMAXPROCS. Results are identical
+	// at any worker count.
 	Workers int
 
 	barriers []func()
@@ -74,8 +76,24 @@ func (ss *Sharded) Shard(i int) *Simulation { return ss.sims[i] }
 // OnBarrier registers fn to run between rounds, single-threaded, before
 // the next window is chosen. Models drain their cross-shard outboxes here:
 // at barrier time no shard goroutine is running, so a hook may touch every
-// shard's queue. Hooks run in registration order.
+// shard's queue. Hooks run in registration order; a hook that fans its
+// work out uses at most Width goroutines.
 func (ss *Sharded) OnBarrier(fn func()) { ss.barriers = append(ss.barriers, fn) }
+
+// Width returns the number of goroutines a round runs on and a barrier
+// hook may use: Workers (<= 0 meaning GOMAXPROCS), capped at the shard
+// count. At width 1 both rounds and barriers run serially on the calling
+// goroutine.
+func (ss *Sharded) Width() int {
+	w := ss.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	if w > len(ss.sims) {
+		w = len(ss.sims)
+	}
+	return w
+}
 
 // Fired returns the total events fired across all shards. For a fixed
 // model this is shard-count-invariant: every hop, delivery and completion
@@ -126,13 +144,7 @@ func (ss *Sharded) SetEventLimit(limit uint64) {
 // the run after its round completes.
 func (ss *Sharded) Run(until Time) (Time, error) {
 	n := len(ss.sims)
-	workers := ss.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := ss.Width()
 
 	// Persistent round pool: workers pull shard indices for the round in
 	// flight; the two channel hops per shard per round are the only

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -213,6 +214,21 @@ func TestShardedDeterminism(t *testing.T) {
 					t.Fatalf("workers=%d shard %d: delivery %d at %v, want %v", workers, s, i, got[s][i], base[s][i])
 				}
 			}
+		}
+	}
+}
+
+// TestShardedWidth pins the one rule rounds and barrier hooks share:
+// Workers, with <= 0 meaning GOMAXPROCS, capped at the shard count.
+func TestShardedWidth(t *testing.T) {
+	ss := NewSharded(1, 4)
+	for _, c := range []struct{ workers, want int }{
+		{1, 1}, {3, 3}, {4, 4}, {9, 4},
+		{0, min(runtime.GOMAXPROCS(0), 4)}, {-1, min(runtime.GOMAXPROCS(0), 4)},
+	} {
+		ss.Workers = c.workers
+		if got := ss.Width(); got != c.want {
+			t.Errorf("Workers=%d: Width() = %d, want %d", c.workers, got, c.want)
 		}
 	}
 }
